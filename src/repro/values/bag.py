@@ -18,6 +18,11 @@ from typing import Any
 class Bag:
     """An immutable multiset.
 
+    The canonical order of its distinct elements (``_order``) and its
+    canonical key (``_ckey``, filled by
+    :func:`~repro.values.compare.canonical_key`) are computed on first use
+    and cached, like ``_hash``; each relies on the contents being immutable.
+
     >>> b = Bag([1, 2, 2, 3])
     >>> b.count(2)
     2
@@ -29,7 +34,7 @@ class Bag:
     True
     """
 
-    __slots__ = ("_counts", "_hash")
+    __slots__ = ("_counts", "_hash", "_order", "_ckey")
 
     def __init__(self, items: Iterable[Any] = ()) -> None:
         if isinstance(items, Bag):
@@ -38,6 +43,8 @@ class Bag:
             counts = Counter(items)
         object.__setattr__(self, "_counts", counts)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_order", None)
+        object.__setattr__(self, "_ckey", None)
 
     @classmethod
     def from_counts(cls, counts: dict[Any, int]) -> "Bag":
@@ -62,11 +69,26 @@ class Bag:
 
     def __iter__(self) -> Iterator[Any]:
         """Iterate elements with multiplicity, in canonical order."""
-        from repro.values.compare import canonical_key
-
-        for element in sorted(self._counts, key=canonical_key):
-            for _ in range(self._counts[element]):
+        counts = self._counts
+        for element in self.canonical_order():
+            for _ in range(counts[element]):
                 yield element
+
+    def canonical_order(self) -> tuple:
+        """The distinct elements in canonical order, sorted on first use.
+
+        Ties between distinct elements with equal canonical keys are
+        broken by multiplicity, so equal bags get equal keys.
+
+        >>> Bag([3, 1, 3]).canonical_order()
+        (1, 3)
+        """
+        order = self._order
+        if order is None:
+            counts = self._counts
+            order = tuple(sorted(counts, key=lambda e: (canonical_key(e), counts[e])))
+            object.__setattr__(self, "_order", order)
+        return order
 
     def count(self, item: Any) -> int:
         """Multiplicity of ``item`` (0 if absent)."""
@@ -132,3 +154,7 @@ class Bag:
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Bag is immutable")
+
+
+# compare.py imports Bag, so canonical_key is imported once the class exists.
+from repro.values.compare import canonical_key  # noqa: E402

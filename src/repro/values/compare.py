@@ -6,6 +6,14 @@ over sets and bags is reproducible — the paper's section 4.2 heap
 threading is only well-defined if qualifier evaluation visits elements in
 a fixed order. :func:`canonical_key` maps every library value to a key
 that sorts consistently: first by a type rank, then structurally.
+
+A key is computed at most once per :class:`Record` and :class:`Bag`: the
+first call stores it in the value's ``_ckey`` slot, and a bag also keeps
+its distinct elements in canonical order (``Bag.canonical_order``), so
+iterating a set or bag of records sorts on stored keys instead of walking
+every nested value again. This relies on a value's contents being
+immutable, which the cached ``_hash`` already requires. Frozensets cannot
+carry a slot, so they are sorted on each use, over their elements' keys.
 """
 
 from __future__ import annotations
@@ -40,6 +48,11 @@ def canonical_key(value: Any) -> tuple:
     >>> sorted([(2, 1), (1, 9)], key=canonical_key)
     [(1, 9), (2, 1)]
     """
+    cls = type(value)
+    if cls is Record:
+        return value._ckey or _record_key(value)
+    if cls is Bag:
+        return value._ckey or _bag_key(value)
     if value is None:
         return (_RANK_NONE,)
     if isinstance(value, bool):
@@ -53,19 +66,29 @@ def canonical_key(value: Any) -> tuple:
     if isinstance(value, frozenset):
         inner = sorted((canonical_key(v) for v in value))
         return (_RANK_SET, tuple(inner))
-    if isinstance(value, Bag):
-        inner = sorted((canonical_key(e), n) for e, n in value.counts().items())
-        return (_RANK_BAG, tuple(inner))
     if isinstance(value, OrderedSet):
         return (_RANK_OSET, tuple(canonical_key(v) for v in value))
-    if isinstance(value, Record):
-        inner = tuple(sorted((k, canonical_key(v)) for k, v in value.items()))
-        return (_RANK_RECORD, inner)
     if isinstance(value, Vector):
         return (_RANK_VECTOR, len(value), tuple(canonical_key(v) for v in value))
     # Objects (OIDs) and any other hashables: order by type name then repr,
     # which is stable within a process run.
     return (_RANK_OTHER, type(value).__name__, repr(value))
+
+
+def _record_key(record: Record) -> tuple:
+    """Compute ``record``'s key and store it in its ``_ckey`` slot."""
+    inner = sorted([(k, canonical_key(v)) for k, v in record._fields.items()])
+    key = (_RANK_RECORD, tuple(inner))
+    object.__setattr__(record, "_ckey", key)
+    return key
+
+
+def _bag_key(bag: Bag) -> tuple:
+    """Compute ``bag``'s key from its canonical order and store it."""
+    counts = bag._counts
+    key = (_RANK_BAG, tuple([(canonical_key(e), counts[e]) for e in bag.canonical_order()]))
+    object.__setattr__(bag, "_ckey", key)
+    return key
 
 
 def canonical_sorted(values: Any) -> list:

@@ -21,6 +21,10 @@ class Record(Mapping[str, Any]):
     hashing are order-insensitive: two records are equal iff they have the
     same field/value pairs, matching the paper's structural semantics.
 
+    ``_hash`` and ``_ckey`` (the canonical key, filled by
+    :func:`~repro.values.compare.canonical_key`) start empty and are
+    filled on first use; both rely on the fields being immutable.
+
     >>> r = Record(name="Portland", population=500_000)
     >>> r.name
     'Portland'
@@ -30,7 +34,7 @@ class Record(Mapping[str, Any]):
     True
     """
 
-    __slots__ = ("_fields", "_hash")
+    __slots__ = ("_fields", "_hash", "_ckey")
 
     def __init__(self, _fields: Mapping[str, Any] | None = None, **kwargs: Any) -> None:
         fields: dict[str, Any] = {}
@@ -39,6 +43,7 @@ class Record(Mapping[str, Any]):
         fields.update(kwargs)
         object.__setattr__(self, "_fields", fields)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_ckey", None)
 
     # -- Mapping protocol ---------------------------------------------------
 
